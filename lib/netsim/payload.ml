@@ -45,6 +45,10 @@ let to_string t =
 
 let of_bytes b = of_string (Bytes.to_string b)
 
+let backing t =
+  force t;
+  (t.base, t.off)
+
 let check t off width op =
   if off < 0 || off + width > t.len then
     invalid_arg

@@ -20,6 +20,16 @@ val to_string : t -> string
 val of_bytes : bytes -> t
 val length : t -> int
 
+(** [backing payload] is [(base, off)]: the payload's bytes are
+    [base.[off]] to [base.[off + length payload - 1]], read in place with
+    no copy.  For codecs that walk a whole payload, where the per-access
+    bounds and rope checks of [get_u*] would dominate.  Read-only: [base]
+    is shared storage that may extend past the payload on either side, so
+    read only inside that window and do not keep [base] beyond the read.
+    A pending concatenation is flattened once, on the first call, and the
+    result is memoized in place as on any first byte access. *)
+val backing : t -> string * int
+
 (** [get_u8 payload off] reads one byte.
     @raise Invalid_argument when out of bounds (all accessors). *)
 val get_u8 : t -> int -> int

@@ -40,41 +40,42 @@ let encode t =
         t.samples);
   Payload.Writer.finish writer
 
-let sign16 raw = if raw land 0x8000 <> 0 then raw - 0x10000 else raw
-let sign8 raw = if raw land 0x80 <> 0 then raw - 0x100 else raw
+let header_bytes = 7
 
-let decode payload =
-  if Payload.length payload < 7 then None
+(* The one well-formedness rule: a 7-byte header with a known quality
+   code, followed by exactly [frames] frames of that quality. *)
+let header payload =
+  let len = Payload.length payload in
+  if len < header_bytes then None
   else
-    let reader = Payload.Reader.create payload in
-    let seq = Payload.Reader.u32 reader in
-    let code = Payload.Reader.u8 reader in
-    let frames = Payload.Reader.u16 reader in
-    match quality_of_code code with
+    let base, off = Payload.backing payload in
+    match quality_of_code (Char.code base.[off + 4]) with
     | None -> None
     | Some quality ->
-        let sample_count =
-          match quality with Stereo16 -> 2 * frames | Mono16 | Mono8 -> frames
-        in
-        let expected_bytes =
-          match quality with
-          | Stereo16 | Mono16 -> 2 * sample_count
-          | Mono8 -> sample_count
-        in
-        if Payload.Reader.remaining reader <> expected_bytes then None
-        else begin
-          let samples = Array.make sample_count 0 in
-          (match quality with
-          | Stereo16 | Mono16 ->
-              for i = 0 to sample_count - 1 do
-                samples.(i) <- sign16 (Payload.Reader.u16 reader)
-              done
-          | Mono8 ->
-              for i = 0 to sample_count - 1 do
-                samples.(i) <- sign8 (Payload.Reader.u8 reader)
-              done);
-          Some { seq; quality; samples }
-        end
+        let frames = String.get_uint16_be base (off + 5) in
+        if len - header_bytes <> frames * bytes_per_frame quality then None
+        else
+          let seq =
+            (String.get_uint16_be base off lsl 16)
+            lor String.get_uint16_be base (off + 2)
+          in
+          Some (seq, quality, frames)
+
+let decode payload =
+  match header payload with
+  | None -> None
+  | Some (seq, quality, frames) ->
+      let base, off = Payload.backing payload in
+      let body = off + header_bytes in
+      let samples =
+        match quality with
+        | Stereo16 | Mono16 ->
+            Array.init
+              (frames * bytes_per_frame quality / 2)
+              (fun i -> String.get_int16_be base (body + (2 * i)))
+        | Mono8 -> Array.init frames (fun i -> String.get_int8 base (body + i))
+      in
+      Some { seq; quality; samples }
 
 let to_mono16 t =
   match t.quality with
@@ -121,19 +122,104 @@ let restore t =
       done;
       { t with quality = Stereo16; samples = stereo }
 
+(* Wire transcoders: the record functions above, fused with [decode] and
+   [encode] into one pass from the source bytes to a fresh frame of the
+   target quality.  Every sample takes the same arithmetic as the record
+   path — [(l + r) / 2] truncating toward zero, [clamp8 (s asr 8)],
+   [s lsl 8] — so the bytes are identical. *)
+
+(* A frame of [target] quality with [frames] frames whose sequence number
+   and frame count are copied from the header at [base.[off]]; the
+   samples are left for the caller to write. *)
+let fresh base off target frames =
+  let out = Bytes.create (header_bytes + (frames * bytes_per_frame target)) in
+  Bytes.blit_string base off out 0 4;
+  Bytes.set_uint8 out 4 (quality_code target);
+  Bytes.blit_string base (off + 5) out 5 2;
+  out
+
+let finish out = Payload.of_string (Bytes.unsafe_to_string out)
+
+let degrade_wire payload target =
+  match header payload with
+  | None -> None
+  | Some (_, source, frames) ->
+      if quality_code target <= quality_code source then Some payload
+      else
+        let base, off = Payload.backing payload in
+        let src = off + header_bytes in
+        let out = fresh base off target frames in
+        let stereo_mix i =
+          (String.get_int16_be base (src + (4 * i))
+          + String.get_int16_be base (src + (4 * i) + 2))
+          / 2
+        in
+        (match (source, target) with
+        | Stereo16, Mono16 ->
+            for i = 0 to frames - 1 do
+              Bytes.set_uint16_be out
+                (header_bytes + (2 * i))
+                (clamp16 (stereo_mix i) land 0xffff)
+            done
+        | Stereo16, Mono8 ->
+            for i = 0 to frames - 1 do
+              Bytes.set_uint8 out (header_bytes + i)
+                (clamp8 (stereo_mix i asr 8) land 0xff)
+            done
+        | _ ->
+            (* Mono16 -> Mono8, the only other strictly worse target. *)
+            for i = 0 to frames - 1 do
+              Bytes.set_uint8 out (header_bytes + i)
+                (clamp8 (String.get_int16_be base (src + (2 * i)) asr 8)
+                land 0xff)
+            done);
+        Some (finish out)
+
+let restore_wire payload =
+  match header payload with
+  | None -> None
+  | Some (_, Stereo16, _) -> Some payload
+  | Some (_, source, frames) ->
+      let base, off = Payload.backing payload in
+      let src = off + header_bytes in
+      let out = fresh base off Stereo16 frames in
+      let both i s =
+        let v = clamp16 s land 0xffff in
+        Bytes.set_uint16_be out (header_bytes + (4 * i)) v;
+        Bytes.set_uint16_be out (header_bytes + (4 * i) + 2) v
+      in
+      (match source with
+      | Mono8 ->
+          for i = 0 to frames - 1 do
+            both i (String.get_int8 base (src + i) lsl 8)
+          done
+      | Mono16 | Stereo16 ->
+          for i = 0 to frames - 1 do
+            both i (String.get_int16_be base (src + (2 * i)))
+          done);
+      Some (finish out)
+
 (* Integer sine-ish oscillator: a second-order resonator would drift in
    integer arithmetic, so use a triangle wave with a slow wobble — fully
    deterministic and exercises the full 16-bit range. *)
-let synth ~seq ~frames ~phase =
-  let samples = Array.make (2 * frames) 0 in
+let synth_wire ~seq ~frames ~phase =
+  let out = Bytes.create (header_bytes + (4 * frames)) in
+  Bytes.set_uint16_be out 0 ((seq lsr 16) land 0xffff);
+  Bytes.set_uint16_be out 2 (seq land 0xffff);
+  Bytes.set_uint8 out 4 (quality_code Stereo16);
+  Bytes.set_uint16_be out 5 (frames land 0xffff);
   for i = 0 to frames - 1 do
     let x = (phase + i) mod 200 in
     let tri = if x < 100 then (x * 600) - 30000 else ((200 - x) * 600) - 30000 in
     let wobble = ((phase + i) mod 37) * 100 in
-    samples.(2 * i) <- clamp16 (tri + wobble);
-    samples.((2 * i) + 1) <- clamp16 (tri - wobble)
+    Bytes.set_uint16_be out (header_bytes + (4 * i)) (clamp16 (tri + wobble) land 0xffff);
+    Bytes.set_uint16_be out
+      (header_bytes + (4 * i) + 2)
+      (clamp16 (tri - wobble) land 0xffff)
   done;
-  { seq; quality = Stereo16; samples }
+  finish out
+
+let synth ~seq ~frames ~phase = Option.get (decode (synth_wire ~seq ~frames ~phase))
 
 let rms_error a b =
   let ra = restore a and rb = restore b in

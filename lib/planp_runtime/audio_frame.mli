@@ -36,6 +36,14 @@ val bytes_per_frame : quality -> int
 
 val encode : t -> Netsim.Payload.t
 
+(** [header payload] validates [payload] as a frame without touching its
+    samples and returns [(seq, quality, frames)].  It is the single
+    well-formedness rule every reader applies: at least 7 bytes, a quality
+    code of 0, 1 or 2, and exactly [frames * bytes_per_frame quality]
+    bytes after the header.  [None] when any of these fails. *)
+val header : Netsim.Payload.t -> (int * quality * int) option
+
+(** [decode payload] is [None] exactly when {!header} is. *)
 val decode : Netsim.Payload.t -> t option
 
 (** [degrade t quality] converts downward (averaging channels, truncating
@@ -47,9 +55,28 @@ val degrade : t -> quality -> t
     degradation is not recovered, only the format. *)
 val restore : t -> t
 
+(** {2 Wire transcoders}
+
+    The packet path works on payloads: each transcoder validates with
+    {!header}, reads the source bytes in place and writes one fresh
+    payload of the target size, with no intermediate sample array.  When
+    the target is the same as or better than the source the input payload
+    itself is returned; that is byte-identical to the record path, since
+    [encode (decode p)] is the identity on a valid frame.  All return
+    [None] exactly when {!header} does, and otherwise agree byte for byte
+    with the record functions:
+
+    - [degrade_wire p q] with [encode (degrade (decode p) q)];
+    - [restore_wire p] with [encode (restore (decode p))];
+    - [synth_wire ~seq ~frames ~phase] with [encode (synth ...)]. *)
+
+val degrade_wire : Netsim.Payload.t -> quality -> Netsim.Payload.t option
+val restore_wire : Netsim.Payload.t -> Netsim.Payload.t option
+val synth_wire : seq:int -> frames:int -> phase:int -> Netsim.Payload.t
+
 (** [synth ~seq ~frames ~phase] generates a deterministic sine-like test
     signal at [Stereo16]; [phase] seeds the oscillator so successive frames
-    are continuous. *)
+    are continuous.  [frames] must fit the 16-bit frame count. *)
 val synth : seq:int -> frames:int -> phase:int -> t
 
 (** Root-mean-square error between the [Stereo16] restorations of two

@@ -50,8 +50,9 @@ let decode payload =
       let pixels = Array.make count 0 in
       let per_byte = 8 / depth in
       let mask = (1 lsl depth) - 1 in
+      let base, off = Payload.backing payload in
       for i = 0 to count - 1 do
-        let byte = Payload.get_u8 payload (6 + (i / per_byte)) in
+        let byte = Char.code base.[off + 6 + (i / per_byte)] in
         let slot = per_byte - 1 - (i mod per_byte) in
         pixels.(i) <- (byte lsr (slot * depth)) land mask
       done;

@@ -1,10 +1,16 @@
 module Ptype = Planp.Ptype
 module Sig = Planp.Prim_sig
 
-let frame_of_blob value =
-  match Audio_frame.decode (Value.as_blob value) with
-  | Some frame -> frame
-  | None -> raise (Value.Planp_raise "BadAudio")
+let bad_audio () = raise (Value.Planp_raise "BadAudio")
+
+let header_of_blob value =
+  match Audio_frame.header (Value.as_blob value) with
+  | Some header -> header
+  | None -> bad_audio ()
+
+let blob_of_wire = function
+  | Some payload -> Value.Vblob payload
+  | None -> bad_audio ()
 
 let pure prim_name expected result impl =
   {
@@ -26,24 +32,22 @@ let install () =
   List.iter Prim.register
     [
       pure "audioSeq" [ Ptype.Tblob ] Ptype.Tint (fun args ->
-          Value.Vint (frame_of_blob (arg1 args)).Audio_frame.seq);
+          let seq, _, _ = header_of_blob (arg1 args) in
+          Value.Vint seq);
       pure "audioQuality" [ Ptype.Tblob ] Ptype.Tint (fun args ->
-          Value.Vint
-            (Audio_frame.quality_code
-               (frame_of_blob (arg1 args)).Audio_frame.quality));
+          let _, quality, _ = header_of_blob (arg1 args) in
+          Value.Vint (Audio_frame.quality_code quality));
       pure "audioFrames" [ Ptype.Tblob ] Ptype.Tint (fun args ->
-          Value.Vint (Audio_frame.frame_count (frame_of_blob (arg1 args))));
+          let _, _, frames = header_of_blob (arg1 args) in
+          Value.Vint frames);
       pure "audioBytes" [ Ptype.Tblob ] Ptype.Tint (fun args ->
           Value.Vint (Netsim.Payload.length (Value.as_blob (arg1 args))));
       pure "audioDegrade" [ Ptype.Tblob; Ptype.Tint ] Ptype.Tblob (fun args ->
           let blob, level = arg2 args in
           match Audio_frame.quality_of_code (Value.as_int level) with
-          | None -> raise (Value.Planp_raise "BadAudio")
+          | None -> bad_audio ()
           | Some quality ->
-              Value.Vblob
-                (Audio_frame.encode
-                   (Audio_frame.degrade (frame_of_blob blob) quality)));
+              blob_of_wire (Audio_frame.degrade_wire (Value.as_blob blob) quality));
       pure "audioRestore" [ Ptype.Tblob ] Ptype.Tblob (fun args ->
-          Value.Vblob
-            (Audio_frame.encode (Audio_frame.restore (frame_of_blob (arg1 args)))));
+          blob_of_wire (Audio_frame.restore_wire (Value.as_blob (arg1 args))));
     ]

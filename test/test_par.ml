@@ -76,11 +76,12 @@ let islands_topo ~islands ~hosts () =
 
 (* Handler-driven traffic: every host ping-pongs UDP with its router, and
    one flow ping-pongs across every bridge.  Installed AFTER the shard
-   (the driver requires an empty schedule at shard time). *)
+   (sharding requires an empty schedule).  Handlers run on every
+   partition's domain, so the delivery count is atomic. *)
 let install_workload routers members =
-  let received = ref 0 in
+  let received = Atomic.make 0 in
   let bounce peer_port node packet =
-    incr received;
+    Atomic.incr received;
     Node.send_udp node ~dst:packet.Packet.src ~src_port:peer_port
       ~dst_port:
         (match packet.Packet.l4 with
@@ -272,7 +273,7 @@ let parity_leg ~islands ~hosts ?scenario ~domains ~stop () =
       ignore (Faults.arm ?engine topo sc : Faults.handle));
   let received = install_workload routers members in
   Par.run_until par ~stop;
-  (metrics (), !received)
+  (metrics (), Atomic.get received)
 
 let assert_parity ~islands ~hosts ?scenario ~stop () =
   let base, base_received =

@@ -129,6 +129,151 @@ let audio_degrade_size =
       size Audio_frame.Stereo16 > size Audio_frame.Mono16
       && size Audio_frame.Mono16 > size Audio_frame.Mono8)
 
+(* ---------- audio: wire transcoders against the record path ---------- *)
+
+(* Samples weighted toward the range ends, and stereo pairs toward
+   negative odd sums, where [(l + r) / 2] and [asr 1] disagree. *)
+let audio_frame_gen =
+  let open Q.Gen in
+  let s16 =
+    frequency
+      [ (3, int_range (-32768) 32767);
+        (2, oneofl [ -32768; -32767; 32767; 32766; -257; -256; -255; -1; 0; 1 ]) ]
+  in
+  let s8 = frequency [ (3, int_range (-128) 127); (1, oneofl [ -128; 127; -1; 0 ]) ] in
+  let odd_negative =
+    map2 (fun l d -> (l, -l - ((2 * d) + 1))) (int_range (-16384) 0) (int_bound 16383)
+  in
+  let stereo = frequency [ (2, pair s16 s16); (1, odd_negative) ] in
+  let* seq = oneof [ int_bound 100_000; return 0xffff_ffff; int_bound 0xffff_ffff ] in
+  let* frames = int_range 0 64 in
+  let* quality, samples =
+    oneof
+      [ map
+          (fun pairs ->
+            ( Audio_frame.Stereo16,
+              Array.of_list (List.concat_map (fun (l, r) -> [ l; r ]) pairs) ))
+          (list_repeat frames stereo);
+        map (fun s -> (Audio_frame.Mono16, Array.of_list s)) (list_repeat frames s16);
+        map (fun s -> (Audio_frame.Mono8, Array.of_list s)) (list_repeat frames s8) ]
+  in
+  return { Audio_frame.seq; quality; samples }
+
+(* The same bytes presented three ways: contiguous, as a [sub] view at a
+   non-zero offset, and as a [concat] rope split at [cut].  Built fresh for
+   every use, because reading a rope flattens it in place. *)
+let payload_forms bytes cut =
+  let n = String.length bytes in
+  let cut = if n = 0 then 0 else cut mod (n + 1) in
+  [ (fun () -> Payload.of_string bytes);
+    (fun () ->
+      Payload.sub (Payload.of_string ("pre" ^ bytes ^ "post")) ~pos:3 ~len:n);
+    (fun () ->
+      Payload.concat
+        [ Payload.of_string (String.sub bytes 0 cut);
+          Payload.of_string (String.sub bytes cut (n - cut)) ]) ]
+
+let audio_prim name args =
+  let world, _, _ = World.dummy () in
+  (Planp_runtime.Prim.find_exn name).Planp_runtime.Prim.impl world
+    (Array.of_list args)
+
+let wire_is expected = function
+  | Some payload -> Payload.to_string payload = Payload.to_string expected
+  | None -> false
+
+let blob_is expected value =
+  Payload.to_string (Value.as_blob value) = Payload.to_string expected
+
+let audio_wire_parity =
+  let qualities = Audio_frame.[ Stereo16; Mono16; Mono8 ] in
+  Q.Test.make ~name:"audio: wire transcoders and primitives match the record path"
+    ~count:300
+    (Q.make
+       ~print:(fun (frame, cut) ->
+         Format.asprintf "%a cut=%d" Audio_frame.pp frame cut)
+       Q.Gen.(pair audio_frame_gen (int_bound 1000)))
+    (fun (frame, cut) ->
+      let bytes = Payload.to_string (Audio_frame.encode frame) in
+      (* The oracle decodes the wire bytes, as the primitives used to. *)
+      let decoded = Option.get (Audio_frame.decode (Payload.of_string bytes)) in
+      let frames = Audio_frame.frame_count decoded in
+      let restored = Audio_frame.encode (Audio_frame.restore decoded) in
+      List.for_all
+        (fun form ->
+          Audio_frame.header (form ())
+          = Some (decoded.Audio_frame.seq, decoded.Audio_frame.quality, frames)
+          && Audio_frame.equal decoded (Option.get (Audio_frame.decode (form ())))
+          && wire_is restored (Audio_frame.restore_wire (form ()))
+          && blob_is restored (audio_prim "audioRestore" [ Value.Vblob (form ()) ])
+          && Value.as_int (audio_prim "audioSeq" [ Value.Vblob (form ()) ])
+             = decoded.Audio_frame.seq
+          && Value.as_int (audio_prim "audioQuality" [ Value.Vblob (form ()) ])
+             = Audio_frame.quality_code decoded.Audio_frame.quality
+          && Value.as_int (audio_prim "audioFrames" [ Value.Vblob (form ()) ])
+             = frames
+          && Value.as_int (audio_prim "audioBytes" [ Value.Vblob (form ()) ])
+             = String.length bytes
+          && List.for_all
+               (fun target ->
+                 let degraded =
+                   Audio_frame.encode (Audio_frame.degrade decoded target)
+                 in
+                 wire_is degraded (Audio_frame.degrade_wire (form ()) target)
+                 && blob_is degraded
+                      (audio_prim "audioDegrade"
+                         [ Value.Vblob (form ());
+                           Value.Vint (Audio_frame.quality_code target) ]))
+               qualities)
+        (payload_forms bytes cut))
+
+(* Fewer than 7 bytes, an unknown quality code, or a body one byte short
+   or long: every reader rejects, every decoding primitive raises
+   BadAudio. *)
+let audio_malformed_rejected =
+  let malformed_gen =
+    let open Q.Gen in
+    let* frame = audio_frame_gen in
+    let bytes = Payload.to_string (Audio_frame.encode frame) in
+    let n = String.length bytes in
+    oneof
+      [ map (fun k -> String.sub bytes 0 (k mod 7)) small_nat;
+        map
+          (fun code ->
+            String.mapi (fun i c -> if i = 4 then Char.chr code else c) bytes)
+          (int_range 3 255);
+        return (String.sub bytes 0 (n - 1));
+        map (fun c -> bytes ^ String.make 1 c) char ]
+  in
+  let raises_bad_audio name args =
+    match audio_prim name args with
+    | _ -> false
+    | exception Value.Planp_raise "BadAudio" -> true
+  in
+  Q.Test.make ~name:"audio: malformed frames raise BadAudio from every primitive"
+    ~count:300
+    (Q.make
+       ~print:(fun (bytes, cut) -> Printf.sprintf "%S cut=%d" bytes cut)
+       Q.Gen.(pair malformed_gen (int_bound 1000)))
+    (fun (bytes, cut) ->
+      List.for_all
+        (fun form ->
+          Audio_frame.header (form ()) = None
+          && Audio_frame.decode (form ()) = None
+          && Audio_frame.restore_wire (form ()) = None
+          && List.for_all
+               (fun q -> Audio_frame.degrade_wire (form ()) q = None)
+               Audio_frame.[ Stereo16; Mono16; Mono8 ]
+          && List.for_all
+               (fun name -> raises_bad_audio name [ Value.Vblob (form ()) ])
+               [ "audioSeq"; "audioQuality"; "audioFrames"; "audioRestore" ]
+          && List.for_all
+               (fun level ->
+                 raises_bad_audio "audioDegrade"
+                   [ Value.Vblob (form ()); Value.Vint level ])
+               [ 0; 1; 2 ])
+        (payload_forms bytes cut))
+
 let zipf_in_range =
   Q.Test.make ~name:"rng: zipf stays in 1..n" ~count:200
     Q.(pair (int_range 1 50) small_int)
@@ -414,6 +559,8 @@ let () =
         payload_u32_roundtrip;
         audio_frame_roundtrip;
         audio_degrade_size;
+        audio_wire_parity;
+        audio_malformed_rejected;
         zipf_in_range;
         file_sizes_bounded;
         backends_differential;
