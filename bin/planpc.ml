@@ -207,6 +207,41 @@ let simulate_cmd =
        ~doc:"Run the program on a simulated router and inject test traffic")
     Term.(const run $ file_arg $ packets_arg $ backend_arg)
 
+(* Parse the --faults scenario, shard the topology over [domains] and arm
+   the scenario. Runs before any event is scheduled or packet injected.
+   With [domains] >= 2 the fault targets are pinned into one partition so
+   the scenario's RNG draws stay deterministic; at one domain the driver
+   wraps the plain engine and re-homes nothing. *)
+let shard_and_arm ?faults_path topo ~domains =
+  let scenario =
+    Option.map
+      (fun path -> or_die (Extnet.Faults.parse_scenario (read_file path)))
+      faults_path
+  in
+  let pin =
+    match (scenario, domains) with
+    | Some sc, d when d > 1 ->
+        or_die
+          (Result.map_error
+             (fun msg -> "--domains with --faults: " ^ msg)
+             (Extnet.Faults.pin_targets topo sc))
+    | _ -> []
+  in
+  let par = or_die (Extnet.Par.of_topology ~pin topo ~domains) in
+  if Extnet.Par.parts par > 1 then
+    Printf.printf "domains: %d (lookahead %gs)\n" (Extnet.Par.parts par)
+      (Extnet.Par.lookahead par);
+  Option.iter
+    (fun sc ->
+      let engine =
+        match pin with
+        | first :: _ -> Some (Extnet.Par.engine_of par first)
+        | [] -> None
+      in
+      ignore (Extnet.Faults.arm ?engine topo sc))
+    scenario;
+  par
+
 (* Shared by [run], [stats] and the empty-policy branch of [adapt]:
    alice --link-- router --segment-- bob with the program on the router
    and a tracer capturing the segment, so every delivered frame also
@@ -227,41 +262,7 @@ let run_scenario ?faults_path ?policy ?(domains = 1) ~source ~backend ~packets
   Extnet.Topology.compute_routes topo;
   (* Scenario target names: link "uplink", segment "lan", nodes "alice",
      "router", "bob". *)
-  let scenario =
-    Option.map
-      (fun path -> or_die (Extnet.Faults.parse_scenario (read_file path)))
-      faults_path
-  in
-  (* With --domains >= 2, shard the topology before faults are armed and
-     packets injected: fault targets are pinned into one partition so the
-     scenario's RNG draws stay deterministic. *)
-  let pin =
-    match (scenario, domains) with
-    | Some sc, d when d > 1 ->
-        or_die
-          (Result.map_error
-             (fun msg -> "--domains with --faults: " ^ msg)
-             (Extnet.Faults.pin_targets topo sc))
-    | _ -> []
-  in
-  let par =
-    if domains = 1 then None
-    else Some (or_die (Extnet.Par.of_topology ~pin topo ~domains))
-  in
-  Option.iter
-    (fun par ->
-      Printf.printf "domains: %d (lookahead %gs)\n" (Extnet.Par.parts par)
-        (Extnet.Par.lookahead par))
-    par;
-  Option.iter
-    (fun sc ->
-      let engine =
-        match (par, pin) with
-        | Some par, first :: _ -> Some (Extnet.Par.engine_of par first)
-        | _ -> None
-      in
-      ignore (Extnet.Faults.arm ?engine topo sc))
-    scenario;
+  let par = shard_and_arm ?faults_path topo ~domains in
   let tracer = Extnet.Tracer.on_segment segment () in
   ignore
     (or_die
@@ -286,10 +287,8 @@ let run_scenario ?faults_path ?policy ?(domains = 1) ~source ~backend ~packets
       ~dst_port:(if i mod 3 = 0 then 7 else 53)
       (Extnet.Payload.of_string "payload")
   done;
-  (match par with
-  | None -> Extnet.Topology.run topo
-  | Some par -> Extnet.Par.run par);
-  (topo, par, tracer, start_snapshot, plane, !tcp_seen, !udp_seen)
+  Extnet.Par.run par;
+  (par, tracer, start_snapshot, plane, !tcp_seen, !udp_seen)
 
 let backend_of_name backend_name =
   match Planp_jit.Backends.by_name backend_name with
@@ -330,7 +329,7 @@ let timeline_out_flag =
   out_flag [ "timeline-out" ]
     "Write the merged trace + metrics timeline as JSON to $(docv)"
 
-let export_observability ~topo ~par ~tracer ~start_snapshot ~metrics_out
+let export_observability ~par ~tracer ~start_snapshot ~metrics_out
     ~metrics_csv ~timeline_out =
   let registry = Obs.Registry.default in
   Option.iter
@@ -347,11 +346,7 @@ let export_observability ~topo ~par ~tracer ~start_snapshot ~metrics_out
     (fun file ->
       (* A partitioned run keeps one clock per domain; [Par.now] is their
          maximum, which equals the sequential engine's final clock. *)
-      let now =
-        match par with
-        | None -> Extnet.Engine.now (Extnet.Topology.engine topo)
-        | Some par -> Extnet.Par.now par
-      in
+      let now = Extnet.Par.now par in
       let events =
         Obs.Timeline.merge
           [
@@ -370,7 +365,7 @@ let export_observability ~topo ~par ~tracer ~start_snapshot ~metrics_out
 let run_plain ?policy ?domains path packets backend_name metrics_out
     metrics_csv timeline_out faults_path =
   let backend = backend_of_name backend_name in
-  let topo, par, tracer, start_snapshot, plane, tcp_seen, udp_seen =
+  let par, tracer, start_snapshot, plane, tcp_seen, udp_seen =
     run_scenario ?faults_path ?policy ?domains ~source:(read_file path)
       ~backend ~packets ()
   in
@@ -387,7 +382,7 @@ let run_plain ?policy ?domains path packets backend_name metrics_out
         "adaptation: empty policy armed, %d tick(s), %d firing(s) (inert)\n"
         stats.Extnet.Adapt.Plane.st_ticks stats.Extnet.Adapt.Plane.st_fired)
     plane;
-  export_observability ~topo ~par ~tracer ~start_snapshot ~metrics_out
+  export_observability ~par ~tracer ~start_snapshot ~metrics_out
     ~metrics_csv ~timeline_out
 
 let domains_flag =
@@ -432,7 +427,7 @@ let run_cmd =
 let stats_cmd =
   let run path packets backend_name =
     let backend = backend_of_name backend_name in
-    let _topo, _par, _tracer, _start, _plane, _tcp, _udp =
+    let _par, _tracer, _start, _plane, _tcp, _udp =
       run_scenario ~source:(read_file path) ~backend ~packets ()
     in
     Obs.Registry.pp Format.std_formatter Obs.Registry.default;
@@ -806,44 +801,12 @@ let adapt_cmd =
         (Extnet.Topology.attach topo segment (List.nth routers (targets - 1)));
       ignore (Extnet.Topology.attach topo segment b);
       Extnet.Topology.compute_routes topo;
-      let scenario =
-        Option.map
-          (fun fpath -> or_die (Extnet.Faults.parse_scenario (read_file fpath)))
-          faults_path
-      in
-      (* As in [run]: shard before faults are armed or any event lands,
-         pinning fault targets into one partition. *)
-      let pin =
-        match (scenario, domains) with
-        | Some sc, d when d > 1 ->
-            or_die
-              (Result.map_error
-                 (fun msg -> "--domains with --faults: " ^ msg)
-                 (Extnet.Faults.pin_targets topo sc))
-        | _ -> []
-      in
-      (* Unlike [run], a single-domain adapt still goes through a
-         parts=1 partitioned driver: monitor ticks then ride the same
-         window-barrier pacers for every --domains count, which is what
+      (* Unlike a plain [run], monitor ticks ride the driver's
+         window-barrier pacers at every --domains count, which is what
          makes the exports byte-identical between --domains 1 and
-         --domains N (engine-scheduled ticks would count as extra
-         engine events in the sequential run only). *)
-      let par = Some (or_die (Extnet.Par.of_topology ~pin topo ~domains)) in
-      Option.iter
-        (fun par ->
-          if Extnet.Par.parts par > 1 then
-            Printf.printf "domains: %d (lookahead %gs)\n"
-              (Extnet.Par.parts par) (Extnet.Par.lookahead par))
-        par;
-      Option.iter
-        (fun sc ->
-          let engine =
-            match (par, pin) with
-            | Some par, first :: _ -> Some (Extnet.Par.engine_of par first)
-            | _ -> None
-          in
-          ignore (Extnet.Faults.arm ?engine topo sc))
-        scenario;
+         --domains N (engine-scheduled ticks would count as extra engine
+         events in the sequential run only). *)
+      let par = shard_and_arm ?faults_path topo ~domains in
       let tracer = Extnet.Tracer.on_segment segment () in
       let engine = Extnet.Topology.engine topo in
       let daemons =
@@ -885,11 +848,7 @@ let adapt_cmd =
                   | None, (_, o) :: _ -> o
                   | None, [] -> Extnet.Deploy.Controller.Timed_out))
             ());
-      let inj_engine =
-        match par with
-        | Some par -> Extnet.Par.engine_of par a
-        | None -> engine
-      in
+      let inj_engine = Extnet.Par.engine_of par a in
       for second = 0 to int_of_float (Float.round duration) - 1 do
         Extnet.Engine.schedule inj_engine ~at:(float_of_int second) (fun () ->
             for i = 1 to packets do
@@ -933,7 +892,7 @@ let adapt_cmd =
       in
       let plane =
         try
-          Extnet.Adapt.Plane.arm ~env ?par
+          Extnet.Adapt.Plane.arm ~env ~par
             ~active:[ (name, "default") ]
             ~engine ~until:duration
             ~signals:
@@ -953,9 +912,7 @@ let adapt_cmd =
           prerr_endline ("planpc: " ^ message);
           exit 1
       in
-      (match par with
-      | None -> Extnet.Topology.run_until topo ~stop:duration
-      | Some par -> Extnet.Par.run_until par ~stop:duration);
+      Extnet.Par.run_until par ~stop:duration;
       Printf.printf "--- adapt (%s backend, policy %s) ---\n" backend_name
         policy_path;
       let initial = !initial in
@@ -1000,7 +957,7 @@ let adapt_cmd =
                      (fun (slot, epoch) -> Printf.sprintf "%s@%d" slot epoch)
                      slots)))
         daemons;
-      export_observability ~topo ~par ~tracer ~start_snapshot ~metrics_out
+      export_observability ~par ~tracer ~start_snapshot ~metrics_out
         ~metrics_csv ~timeline_out;
       match initial with
       | Some (Extnet.Deploy.Controller.Acked _) -> ()

@@ -35,17 +35,25 @@ let encode t =
     Payload.Writer.u8 writer (!byte lsl (t.depth * (per_byte - !filled)));
   Payload.Writer.finish writer
 
-let decode payload =
+(* The one well-formedness rule: magic 'I', a depth of 8, 4 or 2 bits,
+   nonzero dimensions, and exactly the pixel bytes those imply. *)
+let header payload =
   if Payload.length payload < 6 then None
-  else if Payload.get_u8 payload 0 <> Char.code 'I' then None
   else
-    let depth = Payload.get_u8 payload 1 in
-    let width = Payload.get_u16 payload 2 in
-    let height = Payload.get_u16 payload 4 in
-    if not (valid_depth depth) || width = 0 || height = 0 then None
+    let base, off = Payload.backing payload in
+    let depth = Char.code base.[off + 1] in
+    let width = String.get_uint16_be base (off + 2) in
+    let height = String.get_uint16_be base (off + 4) in
+    if base.[off] <> 'I' || (not (valid_depth depth)) || width = 0 || height = 0
+    then None
     else if Payload.length payload <> 6 + pixel_bytes ~width ~height ~depth then
       None
-    else begin
+    else Some (depth, width, height)
+
+let decode payload =
+  match header payload with
+  | None -> None
+  | Some (depth, width, height) ->
       let count = width * height in
       let pixels = Array.make count 0 in
       let per_byte = 8 / depth in
@@ -57,7 +65,6 @@ let decode payload =
         pixels.(i) <- (byte lsr (slot * depth)) land mask
       done;
       Some { width; height; depth; pixels }
-    end
 
 let distill t =
   if t.width <= 1 && t.height <= 1 && t.depth <= 2 then t

@@ -19,6 +19,13 @@ type t = {
 
 val encode : t -> Netsim.Payload.t
 
+(** [header payload] validates [payload] as an image without touching its
+    pixels: magic ['I'], a depth of 8, 4 or 2, nonzero width and height,
+    and exactly the pixel bytes those imply.  Returns
+    [(depth, width, height)], or [None] when any of these fails. *)
+val header : Netsim.Payload.t -> (int * int * int) option
+
+(** [decode payload] is [None] exactly when {!header} is. *)
 val decode : Netsim.Payload.t -> t option
 
 (** [encoded_size t] without building the payload. *)

@@ -12,6 +12,7 @@ module Bytecomp = Planp_jit.Bytecomp
 module Vm = Planp_jit.Vm
 module Payload = Netsim.Payload
 module Audio_frame = Planp_runtime.Audio_frame
+module Image = Planp_runtime.Image
 
 let () = Planp_runtime.Prims.install ()
 
@@ -272,6 +273,87 @@ let audio_malformed_rejected =
                  raises_bad_audio "audioDegrade"
                    [ Value.Vblob (form ()); Value.Vint level ])
                [ 0; 1; 2 ])
+        (payload_forms bytes cut))
+
+(* ---------- image: header-only primitives against decode ---------- *)
+
+let image_gen =
+  let open Q.Gen in
+  let* depth = oneofl [ 8; 4; 2 ] in
+  let* width = int_range 1 24 in
+  let* height = int_range 1 24 in
+  let* pixels = array_repeat (width * height) (int_bound ((1 lsl depth) - 1)) in
+  return { Image.width; height; depth; pixels }
+
+let image_prim name args =
+  let world, _, _ = World.dummy () in
+  (Planp_runtime.Prim.find_exn name).Planp_runtime.Prim.impl world
+    (Array.of_list args)
+
+let image_header_parity =
+  Q.Test.make ~name:"image: header primitives match the decoded image"
+    ~count:300
+    (Q.make
+       ~print:(fun (image, cut) -> Format.asprintf "%a cut=%d" Image.pp image cut)
+       Q.Gen.(pair image_gen (int_bound 1000)))
+    (fun (image, cut) ->
+      let bytes = Payload.to_string (Image.encode image) in
+      let decoded = Option.get (Image.decode (Payload.of_string bytes)) in
+      let int_of name form = Value.as_int (image_prim name [ Value.Vblob (form ()) ]) in
+      List.for_all
+        (fun form ->
+          Image.header (form ())
+          = Some (decoded.Image.depth, decoded.Image.width, decoded.Image.height)
+          && Image.equal decoded (Option.get (Image.decode (form ())))
+          && image_prim "isImage" [ Value.Vblob (form ()) ] = Value.vtrue
+          && int_of "imgWidth" form = decoded.Image.width
+          && int_of "imgHeight" form = decoded.Image.height
+          && int_of "imgDepth" form = decoded.Image.depth
+          && int_of "imgBytes" form = Image.encoded_size decoded)
+        (payload_forms bytes cut))
+
+(* Fewer than 6 bytes, a bad magic byte, depth 3, zero width, or a body
+   one byte short or long: [header] and [decode] reject, [isImage] is
+   false and every other primitive raises BadImage. *)
+let image_malformed_rejected =
+  let malformed_gen =
+    let open Q.Gen in
+    let* image = image_gen in
+    let bytes = Payload.to_string (Image.encode image) in
+    let n = String.length bytes in
+    let set i c = String.mapi (fun j x -> if j = i then c else x) bytes in
+    oneof
+      [ map (fun k -> String.sub bytes 0 (k mod 6)) small_nat;
+        map (fun c -> set 0 c) (char_range '\000' 'H');
+        return (set 1 '\003');
+        return (set 2 '\000' |> String.mapi (fun j x -> if j = 3 then '\000' else x));
+        return (String.sub bytes 0 (n - 1));
+        map (fun c -> bytes ^ String.make 1 c) char ]
+  in
+  let raises_bad_image name args =
+    match image_prim name args with
+    | _ -> false
+    | exception Value.Planp_raise "BadImage" -> true
+  in
+  Q.Test.make ~name:"image: malformed images raise BadImage from every primitive"
+    ~count:300
+    (Q.make
+       ~print:(fun (bytes, cut) -> Printf.sprintf "%S cut=%d" bytes cut)
+       Q.Gen.(pair malformed_gen (int_bound 1000)))
+    (fun (bytes, cut) ->
+      List.for_all
+        (fun form ->
+          Image.header (form ()) = None
+          && Image.decode (form ()) = None
+          && image_prim "isImage" [ Value.Vblob (form ()) ] = Value.vfalse
+          && List.for_all
+               (fun name -> raises_bad_image name [ Value.Vblob (form ()) ])
+               [ "imgWidth"; "imgHeight"; "imgDepth"; "imgBytes" ]
+          && List.for_all
+               (fun level ->
+                 raises_bad_image "imgDistill"
+                   [ Value.Vblob (form ()); Value.Vint level ])
+               [ 0; 1 ])
         (payload_forms bytes cut))
 
 let zipf_in_range =
@@ -561,6 +643,8 @@ let () =
         audio_degrade_size;
         audio_wire_parity;
         audio_malformed_rejected;
+        image_header_parity;
+        image_malformed_rejected;
         zipf_in_range;
         file_sizes_bounded;
         backends_differential;
